@@ -259,9 +259,9 @@ pub fn suite(cfg: &PerfConfig) -> Vec<(String, Box<dyn FnMut() + '_>)> {
             format!("probe/scan_parallel_{shards}"),
             Box::new(move || {
                 let mut scanner = bench_study().scanner(0x5ca9);
-                let report =
-                    scanner.scan_parallel(targets.iter().copied(), Protocol::Icmp, shards);
-                assert!(report.probed > 0);
+                let reports =
+                    scanner.scan_parallel(targets.iter().copied(), &[Protocol::Icmp], shards, None);
+                assert!(reports[0].1.probed > 0);
             }),
         ));
     }

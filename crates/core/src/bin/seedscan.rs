@@ -29,8 +29,8 @@
 //! ```
 //!
 //! `--scan-shards` must be ≥ 1: an explicit `0` is rejected here rather
-//! than silently normalized (the engine's `TokenBucket::split` and the
-//! scan pipeline clamp internal shard counts with `.max(1)`, but a user
+//! than silently normalized (the scan pipeline clamps internal shard
+//! counts with `.max(1)`, but a user
 //! asking for zero shards is a configuration mistake, not a request for
 //! the sequential path). `--gen-workers` follows the same rule and fans
 //! out 6Scan/DET generation rounds across worker threads; candidate

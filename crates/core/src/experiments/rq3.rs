@@ -10,9 +10,9 @@ use std::net::Ipv6Addr;
 
 use netmodel::{Asn, Protocol, PROTOCOLS};
 use seeds::SourceId;
+use sos_obs::par;
 use tga::TgaId;
 
-use crate::par::par_map_stats;
 use crate::report::{fmt_count, fmt_pct, Table};
 use crate::runner::{cell_salt, run_tga, RunResult};
 use crate::study::{DatasetKind, Study};
@@ -97,7 +97,7 @@ pub fn run_rq3(study: &Study, protos: &[Protocol], tgas: &[TgaId]) -> Rq3Results
     let total_cells = work.len();
     let done = std::sync::atomic::AtomicUsize::new(0);
     let cells: BTreeMap<(SourceId, Protocol, TgaId), RunResult> =
-        par_map_stats(work, threads, "rq3.sources", |(source, proto, tga)| {
+        par::map("rq3.sources", work, threads, |(source, proto, tga)| {
             let salt = cell_salt(0x593, tga, proto, source.stream());
             let r = run_tga(study, tga, seed_of(source), proto, budget, salt);
             // sos-lint: allow(conc-relaxed) progress counter for log lines only; never read back into results
@@ -107,20 +107,18 @@ pub fn run_rq3(study: &Study, protos: &[Protocol], tgas: &[TgaId]) -> Rq3Results
             }
             ((source, proto, tga), r)
         })
-        .0
         .into_iter()
         .collect();
 
     // The "600M" analog: one big All-Active run per TGA on ICMP.
     let big_budget = budget * study.config().big_budget_multiplier;
     let all_active = study.dataset(DatasetKind::AllActive).to_vec();
-    let big_runs: BTreeMap<TgaId, RunResult> = par_map_stats(tgas.to_vec(), threads, "rq3.big", |tga| {
+    let big_runs: BTreeMap<TgaId, RunResult> = par::map("rq3.big", tgas.to_vec(), threads, |tga| {
         let _span = sos_obs::span_detail("big_run", format!("tga={tga}"));
         let salt = cell_salt(0x600, tga, Protocol::Icmp, 99);
         let r = run_tga(study, tga, &all_active, Protocol::Icmp, big_budget, salt);
         (tga, r)
     })
-    .0
     .into_iter()
     .collect();
 

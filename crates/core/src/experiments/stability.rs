@@ -11,9 +11,9 @@
 //! thinner than the noise band is flagged.
 
 use netmodel::Protocol;
+use sos_obs::par;
 use tga::TgaId;
 
-use crate::par::par_map_stats;
 use crate::report::{fmt_count, Table};
 use crate::runner::run_tga;
 use crate::study::{DatasetKind, Study};
@@ -84,7 +84,7 @@ pub fn stability(study: &Study, tgas: &[TgaId], reps: usize, proto: Protocol) ->
     }
     let threads = study.config().effective_threads();
     let budget = study.config().budget;
-    let (results, _stats) = par_map_stats(work, threads, "stability", |(tga, rep)| {
+    let results = par::map("stability", work, threads, |(tga, rep)| {
         // the rep perturbs only the generation/evaluation salt
         let salt = netmodel::mix::mix3(0x57ab, tga as u64, rep);
         let r = run_tga(study, tga, &seeds, proto, budget, salt);

@@ -1,10 +1,8 @@
 //! The study's metrics (§4.1): Hits, Active ASes, Aliases, and the
 //! Performance Ratio.
 
-use serde::{Deserialize, Serialize};
-
 /// Metrics of one TGA run after scanning and dealiasing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Dealiased responsive addresses discovered (§4.1 "Hits").
     pub hits: usize,

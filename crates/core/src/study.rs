@@ -175,17 +175,11 @@ impl Study {
     ) -> EvalOutcome {
         let mut scanner = self.scanner(salt);
         let shards = self.cfg.scan_shards.max(1);
-        let report = {
+        let (_, report) = {
             let _s = sos_obs::span_detail("scan", format!("proto={proto:?} targets={}", generated.len()));
-            if prov.is_enabled() {
-                scanner.scan_parallel_attributed(generated.iter().copied(), proto, shards, prov)
-            } else if shards > 1 {
-                // Sharded pipeline: bit-identical to the sequential scan
-                // (see the probe crate's parallel_scan tests), faster.
-                scanner.scan_parallel(generated.iter().copied(), proto, shards)
-            } else {
-                scanner.scan(generated.iter().copied(), proto)
-            }
+            scanner
+                .scan_parallel(generated.iter().copied(), &[proto], shards, Some(prov))
+                .remove(0)
         };
 
         // Two-tier output dealiasing.

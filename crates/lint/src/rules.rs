@@ -11,7 +11,7 @@
 //!   a randomized-order container, or seed a `RandomState`.
 //! - **Panic safety** — library crates on the scan path must degrade into
 //!   `Result`s, not aborts; a panic mid-campaign loses the whole shard.
-//! - **Concurrency** — the `par_map` merge boundary only preserves the
+//! - **Concurrency** — the `par::map` merge boundary only preserves the
 //!   bit-identity argument if cross-shard state is either absent or
 //!   explicitly annotated; per-target hot loops must not take locks.
 
@@ -95,7 +95,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "par-shared-mut",
         group: "concurrency",
-        rationale: "a par_map/par_map_slots closure that locks or mutates captured state makes worker interleaving observable, breaking the merge contract that W-invariance rests on (workers return per-slot results; the join merges deterministically)",
+        rationale: "a `par::map` closure that locks or mutates captured state makes worker interleaving observable, breaking the merge contract that W-invariance rests on (workers return per-slot results; the join merges deterministically)",
         severity: "error",
         fix: "return per-item values from the closure and merge after the join",
     },
@@ -137,7 +137,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "conc-relaxed",
         group: "concurrency",
-        rationale: "Relaxed ordering on state crossing the par_map merge boundary needs a written justification (sos-lint: allow)",
+        rationale: "Relaxed ordering on state crossing the par::map merge boundary needs a written justification (sos-lint: allow)",
         severity: "error",
         fix: "use AcqRel/SeqCst, or suppress with the monotonicity argument written down",
     },
@@ -234,8 +234,9 @@ pub struct Config {
     /// from [`crate::taint::DETERMINISTIC_ROOTS`]. Definition-site
     /// `// sos-lint: deterministic-root` comments add to this set.
     pub roots: Vec<(String, String)>,
-    /// The `par_map` family: functions whose closure arguments must not
-    /// mutate shared state (`par-shared-mut`).
+    /// The fan-out functions whose closure arguments must not mutate
+    /// shared state (`par-shared-mut`), as path suffixes (`par::map`
+    /// matches `par::map(…)` and `sos_obs::par::map(…)`).
     pub par_fns: Vec<String>,
     /// Method-call resolution fallback cutoff: a method name implemented
     /// by more than this many workspace types draws no call-graph edges.
@@ -283,7 +284,7 @@ impl Default for Config {
                 .iter()
                 .map(|(path, name, _)| (path.to_string(), name.to_string()))
                 .collect(),
-            par_fns: ["par_map", "par_map_stats", "par_map_slots"].map(String::from).to_vec(),
+            par_fns: vec!["par::map".to_string()],
             method_fallback_max: 6,
         }
     }
@@ -439,7 +440,7 @@ pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
                     "conc-relaxed",
                     t.line,
                     t.col,
-                    "`Ordering::Relaxed` needs a written justification that it cannot cross the par_map merge boundary unsynchronized"
+                    "`Ordering::Relaxed` needs a written justification that it cannot cross the par::map merge boundary unsynchronized"
                         .to_string(),
                 );
             }

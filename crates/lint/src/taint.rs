@@ -30,7 +30,7 @@ pub const DETERMINISTIC_ROOTS: &[(&str, &str, &str)] = &[
     // TGA candidate emission — the W-invariance surface of PR 9.
     ("crates/tga/src/", "generate", "TGA candidate stream (untagged entry)"),
     ("crates/tga/src/", "generate_tagged", "TGA candidate stream + provenance log"),
-    ("crates/tga/src/parallel.rs", "par_map_slots", "W-invariant generation fan-out"),
+    ("crates/obs/src/par.rs", "map", "order-preserving fan-out: out[i] never depends on the worker count"),
     ("crates/tga/src/space_tree.rs", "build_regions_par", "parallel space-tree construction"),
     // Digest / manifest writers — the bytes CI and A/B reruns compare.
     ("crates/obs/src/manifest.rs", "write_to_file", "run-manifest bytes"),
@@ -277,8 +277,8 @@ fn det_float_reduce(ws: &Workspace, taint: &Taint, out: &mut Vec<Finding>) {
     }
 }
 
-/// `par-shared-mut`: a `par_map`-family closure capturing and mutating
-/// shared state. The `par_map` merge contract is per-slot results only —
+/// `par-shared-mut`: a closure passed to a fan-out (`par::map`) capturing
+/// and mutating shared state. The merge contract is per-slot results only —
 /// cross-shard writes make the merge order observable.
 fn par_shared_mut(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
     for gid in 0..ws.fns.len() {
@@ -287,16 +287,34 @@ fn par_shared_mut(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
         let toks = &fd.lexed.toks;
         let end = b.min(toks.len() - 1);
         for i in a..=end {
-            if !(toks[i].kind == TokKind::Ident
-                && cfg.par_fns.iter().any(|f| toks[i].text == *f)
-                && toks.get(i + 1).is_some_and(|t| t.is_punct('(')))
-            {
+            if !(toks[i].kind == TokKind::Ident && toks.get(i + 1).is_some_and(|t| t.is_punct('('))) {
                 continue;
             }
+            let Some(par_fn) = cfg.par_fns.iter().find(|f| path_ends_at(toks, i, f)) else {
+                continue;
+            };
             let call_end = match_paren(toks, i + 1).min(end);
-            scan_closures(toks, i + 1, call_end, &toks[i].text.clone(), fd, out);
+            scan_closures(toks, i + 1, call_end, par_fn, fd, out);
         }
     }
+}
+
+/// Whether the call path whose last segment is the ident `toks[i]` ends
+/// with `path` (`a::b`), segment by segment.
+fn path_ends_at(toks: &[Tok], i: usize, path: &str) -> bool {
+    let mut at = i;
+    for (n, seg) in path.rsplit("::").enumerate() {
+        if n > 0 {
+            if at < 3 || !toks[at - 1].is_punct(':') || !toks[at - 2].is_punct(':') {
+                return false;
+            }
+            at -= 3;
+        }
+        if !toks[at].is_ident(seg) {
+            return false;
+        }
+    }
+    true
 }
 
 /// Find closures among a par call's arguments and flag shared-state

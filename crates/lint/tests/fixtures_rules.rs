@@ -174,12 +174,15 @@ fn float_reduce_fires_on_deterministic_paths_only() {
 fn par_shared_mut_flags_captured_state_not_locals() {
     let hits = lint_ws("crates/core/src/fx.rs", PAR_SHARED_MUT);
     let fired: Vec<&Finding> = hits.iter().filter(|f| f.rule == "par-shared-mut").collect();
-    // lock_in_closure + captured_push + captured_assign; per_item_ok is
-    // all locals and justified carries a reasoned allow.
-    assert_eq!(fired.len(), 3, "{hits:?}");
+    // lock_in_closure + captured_push + captured_assign + fully_qualified;
+    // per_item_ok is all locals, iterator_map_ok is not a fan-out, and
+    // justified carries a reasoned allow.
+    assert_eq!(fired.len(), 4, "{hits:?}");
     assert!(fired.iter().any(|f| f.message.contains(".lock()")), "{fired:?}");
     assert!(fired.iter().any(|f| f.message.contains("sink.push")), "{fired:?}");
     assert!(fired.iter().any(|f| f.message.contains("captured `total`")), "{fired:?}");
+    assert!(fired.iter().any(|f| f.message.contains("seen.insert")), "{fired:?}");
+    assert!(fired.iter().all(|f| f.message.contains("`par::map` closure")), "{fired:?}");
 }
 
 #[test]

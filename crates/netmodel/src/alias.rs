@@ -11,13 +11,12 @@
 //! are deterministically dropped at a configured rate, which is the paper's
 //! stated mechanism for online dealiasing occasionally missing an alias.
 
-use serde::{Deserialize, Serialize};
 use v6addr::Prefix;
 
 use crate::services::{PortSet, Protocol};
 
 /// One aliased region of the simulated Internet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AliasRegion {
     /// The fully responsive prefix (typically /80 – /112 in this model;
     /// the paper's canonical aliased unit is the /96).

@@ -8,11 +8,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use v6addr::{Prefix, PrefixTrie};
 
 /// An Autonomous System Number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Asn(pub u32);
 
 impl fmt::Display for Asn {
@@ -23,7 +22,7 @@ impl fmt::Display for Asn {
 
 /// Organization category, mirroring the paper's Table 6 classification
 /// (ISPs/mobile carriers, cloud/hosting/CDNs, and others).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AsKind {
     /// Backbone/transit carrier — mostly router infrastructure.
     TransitIsp,
@@ -45,7 +44,7 @@ pub enum AsKind {
 
 /// Rough geography, used to pick the RIR block an AS allocates from and to
 /// reproduce the paper's observation that discovered ISPs span the globe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Country {
     /// United States (ARIN).
     Us,
@@ -108,7 +107,7 @@ impl Country {
 }
 
 /// Metadata for one synthetic AS.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsInfo {
     /// The AS number.
     pub asn: Asn,

@@ -6,10 +6,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One of the four scan targets evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Protocol {
     /// ICMPv6 Echo Request / Echo Reply.
     Icmp,
@@ -75,7 +73,7 @@ impl fmt::Display for Protocol {
 }
 
 /// The set of scan targets a host answers, as a 4-bit mask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PortSet(u8);
 
 impl PortSet {

@@ -9,7 +9,6 @@
 
 use std::net::Ipv6Addr;
 
-use serde::{Deserialize, Serialize};
 use v6addr::{Prefix, PrefixSet, PrefixTrie};
 
 use crate::alias::AliasRegion;
@@ -23,7 +22,7 @@ use crate::services::Protocol;
 use crate::topology::Topology;
 
 /// What came back from a single probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeReply {
     /// ICMPv6 Echo Reply — a hit for ICMP scans.
     EchoReply,
@@ -61,7 +60,7 @@ impl ProbeReply {
 /// trivially discoverable family of ICMP responders — `BASE:<free>::1` —
 /// of which a fixed fraction answer. The paper filters this AS from ICMP
 /// metrics; the evaluation pipeline does the same.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MegaPattern {
     /// Fixed upper bits (nybble-aligned, < 64 bits).
     pub base: Prefix,
@@ -99,7 +98,7 @@ impl MegaPattern {
 }
 
 /// Summary statistics captured at build time.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorldStats {
     /// All individually modeled addresses (responsive + churned).
     pub modeled_hosts: usize,

@@ -28,7 +28,9 @@
 //!   counters/histograms, parallelism stats, and result digests into a
 //!   single JSON run manifest (`seedscan --manifest out.json`) — the
 //!   format benchmark trajectories consume.
-//! - [`trace`]: export recorded spans and `par_map` worker stats as
+//! - [`par`]: the one fan-out primitive, [`par::map`], and the
+//!   per-call worker statistics it records for the manifest.
+//! - [`trace`]: export recorded spans and `par::map` worker stats as
 //!   Chrome trace-event JSON (`--trace`, one timeline lane per thread)
 //!   and self-time attribution as collapsed stacks (`--flame`) for
 //!   flamegraph tooling.
@@ -51,7 +53,6 @@ pub use metrics::{
     counter, counter_with, global as registry, histogram, histogram_with, render_prometheus,
     Counter, Histogram, Labels, Registry, SnapshotExporter,
 };
-pub use par::ParStats;
 pub use progress::{eta_s, Progress};
 pub use span::{span, span_detail, Span};
 

@@ -1,23 +1,25 @@
-//! Parallel-execution statistics.
+//! The workspace's one fan-out primitive, and its statistics.
 //!
-//! The work-stealing `par_map` in `sos-core` measures, for every cell it
-//! executes, how long the cell sat in the queue versus how long it ran,
-//! and which worker picked it up. Those measurements arrive here as a
-//! [`ParStats`] batch per `par_map` invocation; the manifest serializes
-//! every batch recorded during the run so scheduling pathologies (one
-//! giant straggler cell, idle workers, queue convoys) are visible after
-//! the fact.
+//! [`map`] is the only place that spawns worker threads: the experiment
+//! grids, the within-round generation batches of 6Scan/DET, and the
+//! sharded scan's `(protocol, shard)` tasks all go through it. It returns
+//! results in slot order, so a caller's output never depends on the worker
+//! count or on scheduling. For every call it measures how long each item
+//! sat in the queue versus how long it ran, and which worker picked it
+//! up; those measurements become one [`ParStats`] batch, recorded for the
+//! manifest so scheduling pathologies (one giant straggler cell, idle
+//! workers, queue convoys) are visible after the fact.
 
 use std::sync::Mutex;
 
 use crate::json::Json;
 
-/// Timing for one work item (cell) through a `par_map` call.
+/// Timing for one work item (cell) through a [`map`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParCell {
     /// Input-order index of the item.
     pub index: usize,
-    /// Seconds between `par_map` start and a worker dequeuing the item.
+    /// Seconds between the call's start and a worker dequeuing the item.
     pub wait_s: f64,
     /// Seconds the closure ran.
     pub exec_s: f64,
@@ -25,7 +27,7 @@ pub struct ParCell {
     pub worker: usize,
 }
 
-/// Per-worker rollup for one `par_map` call.
+/// Per-worker rollup for one [`map`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParWorker {
     /// Total seconds this worker spent executing closures.
@@ -34,12 +36,14 @@ pub struct ParWorker {
     pub items: u64,
 }
 
-/// Complete statistics for one `par_map` invocation.
+/// Complete statistics for one [`map`] invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParStats {
     /// Call-site label (e.g. the experiment the grid ran under).
     pub label: String,
-    /// Worker threads used.
+    /// Worker threads the caller requested (at least 1). Calls with fewer
+    /// items than workers still report the requested width, with the
+    /// surplus workers idle, so utilization aggregates stay truthful.
     pub threads: usize,
     /// Call start, seconds since process clock origin (`wait_s`/`exec_s`
     /// in [`ParCell`] are relative to this, so `start_s + wait_s` places
@@ -109,7 +113,82 @@ impl ParStats {
 
 static RECORDS: Mutex<Vec<ParStats>> = Mutex::new(Vec::new());
 
-/// Record one `par_map` invocation's statistics for the manifest.
+/// Map `f` over `items` on up to `workers` threads: `out[i] == f(items[i])`.
+///
+/// With `min(workers, items.len()) <= 1` every item runs inline on the
+/// caller's thread; otherwise exactly that many scoped threads pull items
+/// off a shared queue. A panic in `f` reaches the caller with its original
+/// payload. Each call records one [`ParStats`] under `label`, whose
+/// `threads` is the requested `workers` (at least 1).
+pub fn map<T, R, F>(label: &str, items: Vec<T>, workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let start_s = crate::now_s();
+    let n = items.len();
+    let threads = workers.max(1);
+    let spawn = threads.min(n);
+    let timed = |worker: usize, index: usize, item: T| {
+        let t0 = crate::now_s();
+        let r = f(item);
+        let t1 = crate::now_s();
+        (r, ParCell { index, wait_s: t0 - start_s, exec_s: t1 - t0, worker })
+    };
+    let done: Vec<(R, ParCell)> = if spawn <= 1 {
+        items.into_iter().enumerate().map(|(i, item)| timed(0, i, item)).collect()
+    } else {
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let mut slots: Vec<Option<(R, ParCell)>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..spawn)
+                .map(|w| {
+                    let (queue, timed) = (&queue, &timed);
+                    scope.spawn(move || {
+                        let mut local = Vec::new();
+                        loop {
+                            // Bind first: the guard must drop before `timed` runs.
+                            let next = queue.lock().expect("work queue lock").next();
+                            let Some((i, item)) = next else { break local };
+                            local.push(timed(w, i, item));
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                match h.join() {
+                    Ok(part) => {
+                        for (r, cell) in part {
+                            let i = cell.index;
+                            slots[i] = Some((r, cell));
+                        }
+                    }
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+        });
+        slots.into_iter().map(|s| s.expect("every slot filled")).collect()
+    };
+
+    let mut rollup = vec![ParWorker { busy_s: 0.0, items: 0 }; threads];
+    let (results, cells): (Vec<R>, Vec<ParCell>) = done.into_iter().unzip();
+    for c in &cells {
+        rollup[c.worker].busy_s += c.exec_s;
+        rollup[c.worker].items += 1;
+    }
+    record(ParStats {
+        label: label.to_string(),
+        threads,
+        start_s,
+        wall_s: crate::now_s() - start_s,
+        cells,
+        workers: rollup,
+    });
+    results
+}
+
+/// Record one invocation's statistics for the manifest.
 pub fn record(stats: ParStats) {
     RECORDS.lock().expect("par records").push(stats);
 }
@@ -159,6 +238,109 @@ mod tests {
             workers: vec![],
         };
         assert_eq!(empty.utilization(), 0.0);
+    }
+
+    fn last_stats(label: &str) -> ParStats {
+        snapshot().into_iter().rfind(|s| s.label == label).expect("invocation recorded")
+    }
+
+    #[test]
+    fn maps_in_order() {
+        let items: Vec<u64> = (0..100).collect();
+        let want: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+        for workers in [1, 2, 4, 8] {
+            assert_eq!(map("order_test", items.clone(), workers, |x| x * 3 + 1), want, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn heavy_fanout_is_correct() {
+        // Uneven item costs make workers interleave; slots still line up.
+        let f = |x: u64| (0..(x % 7) * 500).fold(x, |a, b| a ^ b) + x;
+        let items: Vec<u64> = (0..400).collect();
+        assert_eq!(map("heavy_test", items.clone(), 8, f), items.into_iter().map(f).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn stats_cover_every_item_once() {
+        map("stats_test", (0..50u64).collect(), 4, |x| x + 1);
+        let stats = last_stats("stats_test");
+        assert_eq!(stats.threads, 4);
+        let indices: Vec<usize> = stats.cells.iter().map(|c| c.index).collect();
+        assert_eq!(indices, (0..50).collect::<Vec<_>>(), "cells in slot order");
+        let executed: u64 = stats.workers.iter().map(|w| w.items).sum();
+        assert_eq!(executed, 50, "every item executed by exactly one worker");
+        assert!(stats.cells.iter().all(|c| c.worker < 4));
+    }
+
+    #[test]
+    fn sequential_fallback() {
+        // One worker runs every item inline, on the caller's thread.
+        let caller = std::thread::current().id();
+        let out = map("inline_test", vec![1, 2, 3], 1, |x| (x + 1, std::thread::current().id()));
+        assert_eq!(out, vec![(2, caller), (3, caller), (4, caller)]);
+    }
+
+    #[test]
+    fn more_threads_than_items() {
+        // A single item never pays for a thread, however many are offered;
+        // two items with 16 offered spawn exactly two workers.
+        let caller = std::thread::current().id();
+        assert_eq!(map("one_item_test", vec![7], 16, |x| (x * x, std::thread::current().id())), vec![(49, caller)]);
+        map("two_item_test", vec![1, 2], 16, |x| x);
+        assert!(last_stats("two_item_test").cells.iter().all(|c| c.worker < 2));
+    }
+
+    #[test]
+    fn empty_input() {
+        assert!(map("empty_test", Vec::<i32>::new(), 4, |x| x).is_empty());
+        let stats = last_stats("empty_test");
+        assert!(stats.cells.is_empty());
+        assert_eq!((stats.threads, stats.workers.len()), (4, 4), "requested width kept");
+    }
+
+    #[test]
+    fn sequential_path_reports_one_worker() {
+        for workers in [0, 1] {
+            map("seq_test", vec![1, 2, 3], workers, |x| x);
+            let stats = last_stats("seq_test");
+            assert_eq!(stats.threads, 1, "workers={workers} means one");
+            assert_eq!(stats.workers.len(), 1);
+            assert_eq!(stats.workers[0].items, 3);
+        }
+    }
+
+    #[test]
+    fn degenerate_input_reports_requested_workers() {
+        // One item with 16 workers requested runs inline, but the stats
+        // keep the requested width with the surplus workers idle.
+        map("degenerate_one", vec![7], 16, |x| x);
+        let stats = last_stats("degenerate_one");
+        assert_eq!(stats.threads, 16, "requested worker count is reported");
+        assert_eq!(stats.workers.len(), 16);
+        assert_eq!(stats.workers[0].items, 1);
+        assert!(stats.workers[1..].iter().all(|w| w.items == 0 && w.busy_s == 0.0));
+    }
+
+    #[test]
+    fn invocations_are_recorded_globally() {
+        let count = || snapshot().iter().filter(|s| s.label == "global_test" && s.cells.len() == 4).count();
+        let before = count();
+        map("global_test", vec![1, 2, 3, 4], 2, |x| x);
+        assert_eq!(count(), before + 1, "one record per call");
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller() {
+        let caught = std::panic::catch_unwind(|| {
+            map("panic_test", (0..8).collect::<Vec<u32>>(), 4, |x| {
+                assert_ne!(x, 5, "boom at five");
+                x
+            })
+        });
+        let payload = caught.expect_err("the panic propagates");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("boom at five"), "original payload kept: {msg}");
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! §5.3's collection step — "we proceed to scan ... on four ports and
 //! protocols" — is the canonical adopter workflow: one target list, every
 //! scan target, one merged per-address result. [`Campaign`] packages it:
-//! deduplicated targets are scanned per protocol through one scanner, and
-//! the outcome is a per-address [`PortSet`] plus per-protocol reports.
+//! deduplicated targets are scanned on every protocol concurrently through
+//! one scanner's sharded pipeline, and the outcome is a per-address
+//! [`PortSet`] plus per-protocol reports.
 //!
-//! [`Campaign::run_with`] adds hostile-world endurance: the prepared
-//! target list is scanned in *rounds* of `checkpoint_every` targets (each
-//! round covering every protocol), and after each round the complete
+//! [`Campaign::run_with`], the one entry point, adds hostile-world
+//! endurance: the prepared target list is scanned in *rounds* of
+//! `checkpoint_every` targets (each round covering every protocol; `0`
+//! means one round), and after each round the complete
 //! cross-target machine state — partial reports, the fault layer's
 //! per-prefix density clocks, circuit-breaker states, the rate limiter's
 //! virtual clock, and the metric counters — is serialized to a JSON
@@ -49,6 +51,18 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
+    /// Merge per-protocol reports (in scan order) into the per-address
+    /// view: an address's [`PortSet`] holds every protocol it hit on.
+    pub fn from_reports(reports: Vec<(Protocol, ScanReport)>) -> Self {
+        let mut responsive: HashMap<u128, PortSet> = HashMap::new();
+        for (proto, report) in &reports {
+            for &hit in &report.hits {
+                responsive.entry(u128::from(hit)).or_insert(PortSet::EMPTY).insert(*proto);
+            }
+        }
+        CampaignResult { responsive, reports }
+    }
+
     /// Responsiveness of one address (empty when it never answered).
     pub fn ports(&self, addr: Ipv6Addr) -> PortSet {
         self.responsive
@@ -643,7 +657,7 @@ pub struct Campaign<'a, T: Transport> {
     protocols: Vec<Protocol>,
 }
 
-impl<'a, T: Transport> Campaign<'a, T> {
+impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
     /// Campaign over the study's four standard targets.
     pub fn standard(scanner: &'a mut Scanner<T>) -> Self {
         Campaign {
@@ -657,28 +671,6 @@ impl<'a, T: Transport> Campaign<'a, T> {
         Campaign { scanner, protocols }
     }
 
-    /// Scan `targets` on every configured protocol.
-    pub fn run(&mut self, targets: &[Ipv6Addr]) -> CampaignResult {
-        let mut result = CampaignResult::default();
-        for &proto in &self.protocols {
-            let _span = sos_obs::span_detail("scan", format!("proto={proto:?}"));
-            let report = self.scanner.scan(targets.iter().copied(), proto);
-            Self::merge(&mut result, proto, report);
-        }
-        result
-    }
-
-    fn merge(result: &mut CampaignResult, proto: Protocol, report: ScanReport) {
-        for &hit in &report.hits {
-            result
-                .responsive
-                .entry(u128::from(hit))
-                .or_insert(PortSet::EMPTY)
-                .insert(proto);
-        }
-        result.reports.push((proto, report));
-    }
-
     /// The campaign's identity fingerprint: target list + protocol set +
     /// scanner configuration, hashed canonically. A checkpoint only
     /// resumes a campaign with the same fingerprint.
@@ -689,30 +681,6 @@ impl<'a, T: Transport> Campaign<'a, T> {
         }
         let _ = write!(text, "|{:?}|{:?}", self.protocols, self.scanner.config());
         fnv1a64(text.as_bytes())
-    }
-}
-
-impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
-    /// Run the campaign's protocols **concurrently**, each sharded
-    /// `shards` ways: the target list is deduplicated and
-    /// blocklist-filtered once, then `protocols × shards` workers probe
-    /// in parallel, each with its own transport clone and a slice of the
-    /// scanner's pps budget. The merged result and every per-protocol
-    /// report are bit-identical to [`Campaign::run`] on the same world
-    /// state (asserted by the probe crate's integration tests).
-    pub fn run_parallel(&mut self, targets: &[Ipv6Addr], shards: usize) -> CampaignResult {
-        let _span = sos_obs::span_detail(
-            "campaign",
-            format!("protos={} shards={shards}", self.protocols.len()),
-        );
-        let reports =
-            self.scanner
-                .scan_parallel_multi(targets.iter().copied(), &self.protocols, shards);
-        let mut result = CampaignResult::default();
-        for (proto, report) in reports {
-            Self::merge(&mut result, proto, report);
-        }
-        result
     }
 
     /// Run (or resume) the campaign in checkpointable rounds.
@@ -754,12 +722,8 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
         // Re-key the emission-order provenance log by prepared index; the
         // per-round slices below carry global prepared indices, so one
         // full-length tag slice serves every round.
-        let tags: Option<Vec<Provenance>> = opts.provenance.as_ref().map(|log| {
-            origin
-                .iter()
-                .map(|&orig| log.get_or_fill(orig as usize))
-                .collect()
-        });
+        let tags: Option<Vec<Provenance>> =
+            opts.provenance.as_ref().map(|log| log.by_prepared(&origin));
 
         let mut done = 0usize;
         let mut rounds = 0usize;
@@ -1024,12 +988,8 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             tele.export_final()?;
         }
 
-        let mut result = CampaignResult::default();
-        for (proto, report) in reports {
-            Self::merge(&mut result, proto, report);
-        }
         Ok(CampaignRun {
-            result,
+            result: CampaignResult::from_reports(reports),
             completed,
             rounds,
             resumed_targets,
@@ -1117,8 +1077,11 @@ mod tests {
         let dead: Ipv6Addr = "3fff::dead".parse().unwrap();
 
         let mut s = scanner(world.clone());
-        let mut campaign = Campaign::standard(&mut s);
-        let result = campaign.run(&[icmp_only, web, dead]);
+        let run = Campaign::standard(&mut s)
+            .run_with(&[icmp_only, web, dead], &RunOptions::default(), None)
+            .unwrap();
+        assert!(run.completed);
+        let result = run.result;
 
         assert_eq!(result.reports.len(), 4);
         assert!(result.ports(icmp_only).contains(Protocol::Icmp));
@@ -1145,8 +1108,10 @@ mod tests {
             .map(|(a, _)| a)
             .unwrap();
         let mut s = scanner(world);
-        let mut campaign = Campaign::new(&mut s, vec![Protocol::Icmp]);
-        let result = campaign.run(&[target]);
+        let result = Campaign::new(&mut s, vec![Protocol::Icmp])
+            .run_with(&[target], &RunOptions::default(), None)
+            .unwrap()
+            .result;
         assert_eq!(result.reports.len(), 1);
         assert_eq!(result.responsive_on(Protocol::Icmp), 1);
         assert_eq!(result.responsive_on(Protocol::Udp53), 0);

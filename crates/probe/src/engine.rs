@@ -9,16 +9,19 @@
 //!
 //! - [`Scanner::scan`] — the sequential reference path. Every probe
 //!   round-trips real packet bytes through [`Transport::send`].
-//! - [`Scanner::scan_parallel`] — the sharded pipeline. The target list is
-//!   deduplicated and blocklist-filtered **once**, partitioned into W
-//!   shards **by prefix hash** (every fault domain and breaker domain
-//!   lands wholly inside one shard, so per-prefix state never forks), and
-//!   each shard probes through its own cloned transport via
-//!   [`Transport::probe_burst`] with a [`TokenBucket`] carved from the
-//!   global pps budget (`rate / W` each, so the aggregate still honors
-//!   Appendix A). Shard hits carry their global input index and are merged
-//!   by sorting on it — reports are bit-identical to the sequential path
-//!   (asserted by tests, including under every fault schedule).
+//! - [`Scanner::scan_parallel`] — the sharded pipeline, over any number of
+//!   protocols at once. The target list is deduplicated and
+//!   blocklist-filtered **once**, partitioned into W shards **by prefix
+//!   hash** (every fault domain and breaker domain lands wholly inside one
+//!   shard, so per-prefix state never forks), and each `(protocol, shard)`
+//!   task probes through its own cloned transport via
+//!   [`Transport::probe_burst`], fanned out by [`sos_obs::par::map`], with
+//!   a [`TokenBucket`] carved from the global pps budget in proportion to
+//!   its load (so the aggregate still honors Appendix A, and modeled scan
+//!   time does not depend on W). Shard hits carry their global input index
+//!   and are merged by sorting on it — reports are bit-identical to the
+//!   sequential path (asserted by tests, including under every fault
+//!   schedule).
 //!
 //! Hostile-network machinery (PR 6): a [`RetryPolicy`] replaces the fixed
 //! retry count (exponential backoff in *virtual* seconds with seeded
@@ -31,7 +34,7 @@ use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
-use sos_obs::par::{ParCell, ParStats, ParWorker};
+use sos_obs::par;
 use v6addr::PrefixSet;
 
 use crate::metrics::EngineMetrics;
@@ -168,8 +171,8 @@ pub struct ScanReport {
     /// Virtual seconds the rate limiter would have imposed. For sharded
     /// scans this is the **maximum across shards** — the shards wait
     /// concurrently, so the slowest shard models the wall time (each
-    /// shard's budget is `rate / W`, making the aggregate rate equal the
-    /// configured budget).
+    /// shard's budget is its share of the targets, making the aggregate
+    /// rate equal the configured budget; see [`TokenBucket::share`]).
     pub limited_seconds: f64,
     /// Discovery attribution: probes/hits per provenance `(source,
     /// region)` key, when the scan was given a provenance map (empty
@@ -255,53 +258,6 @@ impl ScanReport {
         self.absorb_shard(round);
         self.limited_seconds = before + limited;
     }
-}
-
-/// Deduplicate and blocklist-filter a target stream once, recording the
-/// skips in `report` (and `metrics`, unless suppressed for a checkpoint
-/// resume's silent re-preparation). Returns the targets to probe, in
-/// first-occurrence order.
-fn prepare_targets(
-    blocklist: &PrefixSet,
-    metrics: Option<&EngineMetrics>,
-    targets: impl IntoIterator<Item = Ipv6Addr>,
-    report: &mut ScanReport,
-) -> Vec<Ipv6Addr> {
-    prepare_targets_mapped(blocklist, metrics, targets, report).0
-}
-
-/// [`prepare_targets`] plus, for each prepared target, its index in the
-/// *original* (pre-dedup) stream — the alignment the provenance carrier
-/// needs, since generators tag candidates in emission order.
-fn prepare_targets_mapped(
-    blocklist: &PrefixSet,
-    metrics: Option<&EngineMetrics>,
-    targets: impl IntoIterator<Item = Ipv6Addr>,
-    report: &mut ScanReport,
-) -> (Vec<Ipv6Addr>, Vec<u32>) {
-    let targets = targets.into_iter();
-    let mut prepared = Vec::with_capacity(targets.size_hint().0);
-    let mut origin = Vec::new();
-    let mut seen: HashSet<u128> = HashSet::new();
-    for (i, dst) in targets.enumerate() {
-        if !seen.insert(u128::from(dst)) {
-            report.duplicates += 1;
-            if let Some(m) = metrics {
-                m.drop_duplicate.inc();
-            }
-            continue;
-        }
-        if blocklist.contains_addr(dst) {
-            report.blocked += 1;
-            if let Some(m) = metrics {
-                m.drop_blocklist.inc();
-            }
-            continue;
-        }
-        prepared.push(dst);
-        origin.push(i as u32);
-    }
-    (prepared, origin)
 }
 
 /// The prefix length the sharded pipeline partitions targets by: coarse
@@ -524,12 +480,13 @@ impl<T: Transport> Scanner<T> {
         &mut self.breaker
     }
 
-    /// Dedup + blocklist a target stream against this scanner's config,
-    /// returning each prepared target's index in the original stream (for
-    /// aligning a [`ProvenanceLog`] recorded in emission order with the
-    /// deduplicated probe list). `record` controls whether the drops hit
-    /// the metrics registry (a checkpoint resume re-prepares silently:
-    /// the original run already counted them, and the restored counter
+    /// Deduplicate and blocklist-filter a target stream once, recording
+    /// the skips in `report`. Returns the targets to probe, in
+    /// first-occurrence order, plus each one's index in the *original*
+    /// (pre-dedup) stream — the alignment a [`ProvenanceLog`] recorded in
+    /// emission order needs. `record` controls whether the drops hit the
+    /// metrics registry (a checkpoint resume re-prepares silently: the
+    /// original run already counted them, and the restored counter
     /// snapshot carries them).
     pub(crate) fn prepare_mapped(
         &self,
@@ -538,7 +495,29 @@ impl<T: Transport> Scanner<T> {
         report: &mut ScanReport,
     ) -> (Vec<Ipv6Addr>, Vec<u32>) {
         let metrics = record.then_some(&self.metrics);
-        prepare_targets_mapped(&self.cfg.blocklist, metrics, targets, report)
+        let targets = targets.into_iter();
+        let mut prepared = Vec::with_capacity(targets.size_hint().0);
+        let mut origin = Vec::new();
+        let mut seen: HashSet<u128> = HashSet::new();
+        for (i, dst) in targets.enumerate() {
+            if !seen.insert(u128::from(dst)) {
+                report.duplicates += 1;
+                if let Some(m) = metrics {
+                    m.drop_duplicate.inc();
+                }
+                continue;
+            }
+            if self.cfg.blocklist.contains_addr(dst) {
+                report.blocked += 1;
+                if let Some(m) = metrics {
+                    m.drop_blocklist.inc();
+                }
+                continue;
+            }
+            prepared.push(dst);
+            origin.push(i as u32);
+        }
+        (prepared, origin)
     }
 
     /// Total packets this scanner has transmitted, including packets sent
@@ -657,8 +636,7 @@ impl<T: Transport> Scanner<T> {
         let start_throttled = self.transport.throttled_us();
         let start_opened = self.breaker.as_ref().map_or(0, |b| b.opened());
         let mut report = ScanReport::default();
-        let prepared =
-            prepare_targets(&self.cfg.blocklist, Some(&self.metrics), targets, &mut report);
+        let (prepared, _) = self.prepare_mapped(targets, true, &mut report);
         for dst in prepared {
             let res = self.probe_target(dst, proto, None);
             report.limited_seconds += res.limited_s;
@@ -715,36 +693,24 @@ impl<T: Transport> Scanner<T> {
 }
 
 impl<T: Transport + Clone + Send> Scanner<T> {
-    /// Scan a target list on one protocol across `shards` parallel
-    /// workers. Produces a report bit-identical to [`Scanner::scan`] on
-    /// the same world state: preparation happens once, each shard owns a
-    /// cloned transport (inheriting per-flow attempt counters) and a
-    /// `rate / shards` slice of the pps budget, and partial reports merge
-    /// in input order.
+    /// The sharded pipeline: scan a target list on every protocol in
+    /// `protocols`, each split `shards` ways. The list is deduplicated and
+    /// blocklist-filtered once, then every `(protocol, shard)` pair runs as
+    /// one task with its own transport clone and a load-proportional slice
+    /// of the pps budget. Reports come back in protocol order, each
+    /// bit-identical to a sequential [`Scanner::scan`] of the same list.
+    ///
+    /// `prov` is the provenance log a generator recorded alongside
+    /// `targets` (in the same emission order). When it is recording, each
+    /// report's [`ScanReport::attribution`] tallies probes and hits per
+    /// `(source, region)`; hits, counters and probe behaviour are the same
+    /// either way — attribution is bookkeeping on the side.
     pub fn scan_parallel(
-        &mut self,
-        targets: impl IntoIterator<Item = Ipv6Addr>,
-        proto: Protocol,
-        shards: usize,
-    ) -> ScanReport {
-        self.scan_parallel_multi(targets, &[proto], shards)
-            .pop()
-            // sos-lint: allow(panic-unwrap) scan_parallel_multi returns exactly one entry per requested protocol
-            .expect("one report per protocol")
-            .1
-    }
-
-    /// The sharded pipeline over several protocols at once: dedup +
-    /// blocklist once, then run `protocols.len() × shards` workers
-    /// concurrently — every (protocol, shard) pair is an independent task
-    /// with its own transport clone and its own `rate / tasks` budget
-    /// slice. Reports come back in protocol order, each bit-identical to a
-    /// sequential [`Scanner::scan`] of the same list.
-    pub fn scan_parallel_multi(
         &mut self,
         targets: impl IntoIterator<Item = Ipv6Addr>,
         protocols: &[Protocol],
         shards: usize,
+        prov: Option<&ProvenanceLog>,
     ) -> Vec<(Protocol, ScanReport)> {
         let shards = shards.max(1);
         let _span = sos_obs::span_detail(
@@ -752,13 +718,14 @@ impl<T: Transport + Clone + Send> Scanner<T> {
             format!("protos={} shards={shards}", protocols.len()),
         );
         let mut template = ScanReport::default();
-        let prepared = prepare_targets(&self.cfg.blocklist, Some(&self.metrics), targets, &mut template);
+        let (prepared, origin) = self.prepare_mapped(targets, true, &mut template);
         let indexed: Vec<(u32, Ipv6Addr)> = prepared
             .into_iter()
             .enumerate()
             .map(|(i, a)| (i as u32, a))
             .collect();
-        let mut out = self.scan_prepared(&indexed, protocols, shards, None);
+        let tags = prov.filter(|log| log.is_enabled()).map(|log| log.by_prepared(&origin));
+        let mut out = self.scan_prepared(&indexed, protocols, shards, tags.as_deref());
         for (_, report) in &mut out {
             // Preparation happened once, above; every per-protocol report
             // carries the same dedup/blocklist accounting.
@@ -768,52 +735,12 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         out
     }
 
-    /// [`Scanner::scan_parallel`] with discovery attribution: `prov` is
-    /// the provenance log a generator recorded alongside `targets` (in
-    /// the same emission order), and the returned report's
-    /// [`ScanReport::attribution`] tallies probes and hits per `(source,
-    /// region)`. Hits, counters, and probe behaviour are bit-identical to
-    /// the untagged path — attribution is bookkeeping on the side.
-    pub fn scan_parallel_attributed(
-        &mut self,
-        targets: impl IntoIterator<Item = Ipv6Addr>,
-        proto: Protocol,
-        shards: usize,
-        prov: &ProvenanceLog,
-    ) -> ScanReport {
-        let shards = shards.max(1);
-        let _span = sos_obs::span_detail("scan_attributed", format!("shards={shards}"));
-        let mut template = ScanReport::default();
-        let (prepared, origin) =
-            prepare_targets_mapped(&self.cfg.blocklist, Some(&self.metrics), targets, &mut template);
-        let indexed: Vec<(u32, Ipv6Addr)> = prepared
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| (i as u32, a))
-            .collect();
-        // Re-key the emission-order log by prepared index.
-        let tags: Vec<Provenance> = origin
-            .iter()
-            .map(|&orig| prov.get_or_fill(orig as usize))
-            .collect();
-        let prov_slice = prov.is_enabled().then_some(tags.as_slice());
-        let mut report = self
-            .scan_prepared(&indexed, &[proto], shards, prov_slice)
-            .pop()
-            // sos-lint: allow(panic-unwrap) scan_prepared returns exactly one entry per requested protocol
-            .expect("one report per protocol")
-            .1;
-        report.duplicates += template.duplicates;
-        report.blocked += template.blocked;
-        report
-    }
-
     /// Scan an already-prepared (deduplicated, unblocked, globally
     /// indexed) target list. This is the shared back half of
-    /// [`Scanner::scan_parallel_multi`] and the campaign checkpoint
-    /// rounds: targets are partitioned across shards **by prefix hash**
-    /// (never round-robin), so every fault domain and breaker domain lands
-    /// wholly inside one shard and per-prefix virtual clocks never fork.
+    /// [`Scanner::scan_parallel`] and the campaign checkpoint rounds:
+    /// targets are partitioned across shards **by prefix hash** (never
+    /// round-robin), so every fault domain and breaker domain lands wholly
+    /// inside one shard and per-prefix virtual clocks never fork.
     ///
     /// `prov` maps global prepared indices to provenance tags (see
     /// [`scan_shard`]); `None` scans untagged.
@@ -825,147 +752,89 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         prov: Option<&[Provenance]>,
     ) -> Vec<(Protocol, ScanReport)> {
         let shards = shards.max(1);
-        let start = sos_obs::now_s();
-
-        // Degenerate case: a single task runs on the scanner's own
-        // transport, persistent limiter, and breaker map, exactly like
-        // `scan` (but via the fast path). ParStats still reports the
-        // *requested* worker count so manifest utilization aggregates stay
-        // truthful.
-        if protocols.len() == 1 && (shards == 1 || prepared.len() <= 1) {
-            let proto = protocols[0];
-            let t0 = sos_obs::now_s();
-            let (mut report, hits) = scan_shard(
-                &self.cfg,
-                &mut self.transport,
-                &mut self.limiter,
-                &mut self.breaker,
-                &self.metrics,
-                prepared,
-                proto,
-                prov,
-            );
-            let exec_s = sos_obs::now_s() - t0;
-            // A single task sees targets in input order already.
-            report.hits = hits.into_iter().map(|(_, a)| a).collect();
-            record_shard_stats(start, shards, vec![(0, prepared.len(), exec_s)]);
-            return vec![(proto, report)];
-        }
-
-        let tasks = protocols.len() * shards;
-        let rate = self.cfg.rate_pps;
-        let cfg = &self.cfg;
-        let metrics = &self.metrics;
-
-        // Partition by prefix hash: every target whose address shares the
-        // top `partition_len` bits lands in the same shard, in input order.
-        let partition_len = shard_partition_len(&self.transport, self.cfg.breaker.as_ref());
-        let mut parts: Vec<Vec<(u32, Ipv6Addr)>> = vec![Vec::new(); shards];
-        for &(idx, addr) in prepared {
-            // shard_of reduces modulo `shards`, so the index is in range
-            parts[shard_of(u128::from(addr), partition_len, shards)].push((idx, addr));
-        }
-
-        // Route breaker state into a per-(protocol, shard) grid. Entries
-        // for protocols not scanned here stay behind on the parent map;
-        // counters stay on the parent so absorb-back adds only deltas.
-        let mut grid: Vec<Option<BreakerMap>> = (0..tasks).map(|_| None).collect();
-        if let Some(parent) = self.breaker.as_mut() {
-            let bcfg = *parent.config();
-            let blen = bcfg.effective_prefix_len();
-            for slot in &mut grid {
-                *slot = Some(BreakerMap::new(bcfg));
+        let workers = protocols.len() * shards;
+        // A single task runs on the scanner's own transport, persistent
+        // limiter, and breaker map, exactly like `scan` (but via the fast
+        // path). Otherwise every (protocol, shard) task gets a transport
+        // clone, a limiter sized to its load, and its breaker slice.
+        let single = protocols.len() == 1 && (shards == 1 || prepared.len() <= 1);
+        let mut parts: Vec<Vec<(u32, Ipv6Addr)>> = Vec::new();
+        let mut owned: Vec<(T, Option<TokenBucket>, Option<BreakerMap>)> = Vec::new();
+        if !single {
+            // Partition by prefix hash: every target whose address shares
+            // the top `partition_len` bits lands in the same shard, in
+            // input order.
+            let partition_len = shard_partition_len(&self.transport, self.cfg.breaker.as_ref());
+            parts = vec![Vec::new(); shards];
+            for &(idx, addr) in prepared {
+                // shard_of reduces modulo `shards`, so the index is in range
+                parts[shard_of(u128::from(addr), partition_len, shards)].push((idx, addr));
             }
-            let mut keep = Vec::new();
-            for (key, state) in parent.drain_entries() {
-                let (domain, pidx) = key;
-                let Some(pi) = protocols.iter().position(|p| p.index() as u8 == pidx) else {
-                    keep.push((key, state));
-                    continue;
-                };
-                // Breaker domains are at least as fine as the partition
-                // (shard_partition_len mins over the breaker length), so
-                // truncating the domain to the partition prefix routes it
-                // to the same shard as every address inside it.
-                let si = shard_of_domain(domain >> u32::from(blen - partition_len), shards);
-                // pi < protocols.len() and si < shards, so the grid index is in range
-                if let Some(slot) = grid[pi * shards + si].as_mut() {
-                    slot.insert_entries([(key, state)]);
-                }
-            }
-            parent.insert_entries(keep);
-        }
-
-        // Clone all shard transports up front from the same snapshot:
-        // every (protocol, shard) task continues this scanner's per-flow
-        // attempt history (and per-domain fault clocks) for its own
-        // disjoint slice of flows.
-        let mut pool: Vec<T> = (0..tasks).map(|_| self.transport.shard_clone()).collect();
-
-        let parts = &parts;
-        // Each task yields (partial report, indexed hits, its transport,
-        // its breaker slice, exec seconds, targets handled).
-        let results = std::thread::scope(|scope| {
-            let mut proto_handles = Vec::with_capacity(protocols.len());
-            for (pi, &proto) in protocols.iter().enumerate() {
-                let mut shard_handles = Vec::with_capacity(shards);
-                for si in 0..shards {
-                    // sos-lint: allow(panic-unwrap) pool is sized to protocols * shards right above
-                    let mut transport = pool.pop().expect("one transport per task");
-                    // pi < protocols.len() and si < shards, so the grid index is in range
-                    let mut breaker = grid[pi * shards + si].take();
-                    let slice = &parts[si]; // si < shards == parts.len()
-                    shard_handles.push(scope.spawn(move || {
-                        let _s = sos_obs::span_detail(
-                            "scan_shard",
-                            format!("proto={proto:?} shard={si} targets={}", slice.len()),
-                        );
-                        let t0 = sos_obs::now_s();
-                        let mut limiter = rate.map(|r| TokenBucket::split(r, r, tasks));
-                        let (report, hits) = scan_shard(
-                            cfg,
-                            &mut transport,
-                            &mut limiter,
-                            &mut breaker,
-                            metrics,
-                            slice,
-                            proto,
-                            prov,
-                        );
-                        (report, hits, transport, breaker, sos_obs::now_s() - t0, slice.len())
-                    }));
-                }
-                proto_handles.push((pi, shard_handles));
-            }
-            proto_handles
+            // Every task continues this scanner's per-flow attempt history
+            // (and per-domain fault clocks) for its own disjoint flows.
+            let total = protocols.len() * prepared.len();
+            owned = self
+                .split_breakers(protocols, shards, partition_len)
                 .into_iter()
-                .map(|(pi, handles)| {
-                    (
-                        pi,
-                        handles
-                            .into_iter()
-                            // sos-lint: allow(panic-unwrap) propagating a shard panic is the intended failure mode
-                            .map(|h| h.join().expect("shard worker panicked"))
-                            .collect::<Vec<_>>(),
-                    )
+                .enumerate()
+                .map(|(i, breaker)| {
+                    let load = parts[i % shards].len(); // i % shards < parts.len()
+                    let limiter = self.cfg.rate_pps.and_then(|r| TokenBucket::share(r, r, load, total));
+                    (self.transport.shard_clone(), limiter, breaker)
                 })
-                .collect::<Vec<_>>()
+                .collect();
+        }
+
+        let tasks: Vec<ShardTask<'_, T>> = if single {
+            vec![ShardTask {
+                proto: protocols[0],
+                shard: 0,
+                targets: prepared,
+                transport: &mut self.transport,
+                limiter: &mut self.limiter,
+                breaker: &mut self.breaker,
+            }]
+        } else {
+            owned
+                .iter_mut()
+                .enumerate()
+                .map(|(i, (transport, limiter, breaker))| ShardTask {
+                    proto: protocols[i / shards], // i < protocols.len() * shards
+                    shard: i % shards,
+                    targets: &parts[i % shards], // i % shards < parts.len()
+                    transport,
+                    limiter,
+                    breaker,
+                })
+                .collect()
+        };
+        let (cfg, metrics) = (&self.cfg, &self.metrics);
+        let results = par::map("scan_parallel", tasks, workers, |t| {
+            let _s = sos_obs::span_detail(
+                "scan_shard",
+                format!("proto={:?} shard={} targets={}", t.proto, t.shard, t.targets.len()),
+            );
+            scan_shard(cfg, t.transport, t.limiter, t.breaker, metrics, t.targets, t.proto, prov)
         });
 
+        // Fold every clone's cross-target state back so later scans (and
+        // campaign checkpoints) continue the same clocks.
+        for (transport, _, task_breaker) in owned {
+            self.transport.absorb_shard(transport);
+            if let (Some(parent), Some(tb)) = (self.breaker.as_mut(), task_breaker) {
+                parent.absorb(tb);
+            }
+        }
+        let per_proto = if single { 1 } else { shards };
+        let mut results = results.into_iter();
         let mut out: Vec<(Protocol, ScanReport)> = Vec::with_capacity(protocols.len());
-        let mut cells: Vec<(usize, usize, f64)> = Vec::with_capacity(tasks);
-        for (pi, shard_results) in results {
+        for &proto in protocols {
             let mut report = ScanReport::default();
             let mut hits: Vec<(u32, Ipv6Addr)> = Vec::new();
-            for (partial, shard_hits, transport, task_breaker, exec_s, items) in shard_results {
-                self.shard_packets += partial.packets_sent;
-                // Fold the shard's cross-target state back so later scans
-                // (and campaign checkpoints) continue the same clocks.
-                self.transport.absorb_shard(transport);
-                if let (Some(parent), Some(tb)) = (self.breaker.as_mut(), task_breaker) {
-                    parent.absorb(tb);
+            for (partial, shard_hits) in results.by_ref().take(per_proto) {
+                if !single {
+                    self.shard_packets += partial.packets_sent;
                 }
-                cells.push((cells.len(), items, exec_s));
                 hits.extend(shard_hits);
                 report.absorb_shard(partial);
             }
@@ -973,47 +842,66 @@ impl<T: Transport + Clone + Send> Scanner<T> {
             hits.sort_unstable_by_key(|&(i, _)| i);
             report.hits = hits.into_iter().map(|(_, a)| a).collect();
             sos_obs::debug!(
-                "scan_parallel {:?} x{shards}: {} probed, {} skipped, {} hits, {} pkts",
-                protocols[pi], // pi < protocols.len(): enumerate index
+                "scan_parallel {proto:?} x{shards}: {} probed, {} skipped, {} hits, {} pkts",
                 report.probed,
                 report.skipped,
                 report.hits.len(),
                 report.packets_sent,
             );
-            out.push((protocols[pi], report)); // pi < protocols.len(): enumerate index
+            out.push((proto, report));
         }
-        record_shard_stats(start, tasks, cells);
         out
+    }
+
+    /// Route the scanner's breaker state into one slice per `(protocol,
+    /// shard)` task, in task order. Entries for protocols not scanned here
+    /// stay behind on the parent map; counters stay on the parent so
+    /// absorbing a slice back adds only deltas. Yields `None` per task
+    /// when breaking is off.
+    fn split_breakers(
+        &mut self,
+        protocols: &[Protocol],
+        shards: usize,
+        partition_len: u8,
+    ) -> Vec<Option<BreakerMap>> {
+        let tasks = protocols.len() * shards;
+        let Some(parent) = self.breaker.as_mut() else {
+            return vec![None; tasks];
+        };
+        let bcfg = *parent.config();
+        let blen = bcfg.effective_prefix_len();
+        let mut grid: Vec<BreakerMap> = (0..tasks).map(|_| BreakerMap::new(bcfg)).collect();
+        let mut keep = Vec::new();
+        for (key, state) in parent.drain_entries() {
+            let (domain, pidx) = key;
+            let Some(pi) = protocols.iter().position(|p| p.index() as u8 == pidx) else {
+                keep.push((key, state));
+                continue;
+            };
+            // Breaker domains are at least as fine as the partition
+            // (shard_partition_len mins over the breaker length), so
+            // truncating the domain to the partition prefix routes it to
+            // the same shard as every address inside it.
+            let si = shard_of_domain(domain >> u32::from(blen - partition_len), shards);
+            // pi < protocols.len() and si < shards, so the grid index is in range
+            grid[pi * shards + si].insert_entries([(key, state)]);
+        }
+        parent.insert_entries(keep);
+        grid.into_iter().map(Some).collect()
     }
 }
 
-/// Record one parallel-scan invocation in the global par-stats table
-/// (label `scan_parallel`), mirroring `sos_core::par::par_map_stats`
-/// semantics: `threads` is the requested worker count, and workers that
-/// never ran (degenerate inputs) appear idle rather than vanishing.
-fn record_shard_stats(start_s: f64, threads: usize, cells: Vec<(usize, usize, f64)>) {
-    let mut workers = vec![ParWorker { busy_s: 0.0, items: 0 }; threads];
-    let cells = cells
-        .into_iter()
-        .map(|(index, items, exec_s)| {
-            workers[index].busy_s += exec_s; // index < threads: one slot per spawned task
-            workers[index].items += items as u64;
-            ParCell {
-                index,
-                wait_s: 0.0,
-                exec_s,
-                worker: index,
-            }
-        })
-        .collect();
-    sos_obs::par::record(ParStats {
-        label: "scan_parallel".to_string(),
-        threads,
-        start_s,
-        wall_s: sos_obs::now_s() - start_s,
-        cells,
-        workers,
-    });
+/// One `(protocol, shard)` task of a sharded scan: the targets it owns and
+/// the mutable state it probes with — a transport clone, a load-sized
+/// limiter and a breaker slice, or the scanner's own state when the scan
+/// is a single task.
+struct ShardTask<'a, T> {
+    proto: Protocol,
+    shard: usize,
+    targets: &'a [(u32, Ipv6Addr)],
+    transport: &'a mut T,
+    limiter: &'a mut Option<TokenBucket>,
+    breaker: &'a mut Option<BreakerMap>,
 }
 
 #[cfg(test)]
@@ -1193,8 +1081,8 @@ mod tests {
             let want = seq.scan(targets.iter().copied(), proto);
             for shards in [1, 4, 8] {
                 let mut par = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
-                let got = par.scan_parallel(targets.iter().copied(), proto, shards);
-                assert_eq!(got, want, "{proto:?} x{shards} diverged from sequential");
+                let got = par.scan_parallel(targets.iter().copied(), &[proto], shards, None);
+                assert_eq!(got, vec![(proto, want.clone())], "{proto:?} x{shards} diverged from sequential");
                 assert_eq!(par.packets_sent(), seq.packets_sent(), "{proto:?} x{shards}");
             }
         }
@@ -1210,7 +1098,7 @@ mod tests {
             ..ScannerConfig::default()
         };
         let mut s = Scanner::new(cfg, SimTransport::new(world));
-        let report = s.scan_parallel(targets, Protocol::Icmp, 4);
+        let (_, report) = s.scan_parallel(targets, &[Protocol::Icmp], 4, None).remove(0);
         assert!(report.packets_sent >= 64);
         assert_eq!(
             s.packets_sent(),
@@ -1235,19 +1123,22 @@ mod tests {
         };
         let mut seq = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
         let want = seq.scan(targets.iter().copied(), Protocol::Icmp);
-        let mut par = Scanner::new(cfg, SimTransport::new(world.clone()));
-        let got = par.scan_parallel(targets.iter().copied(), Protocol::Icmp, 4);
-        assert!(got.limited_seconds > 0.0);
-        // 4 shards at 12.5 pps each, waiting concurrently: the modeled
-        // wall time stays within a small factor of the sequential scan's
-        // (the budget is split, not multiplied).
-        assert!(
-            got.limited_seconds <= want.limited_seconds * 1.5 + 1.0,
-            "sharding must not inflate the modeled scan time: {} vs {}",
-            got.limited_seconds,
-            want.limited_seconds,
-        );
-        assert_eq!(got.hits, want.hits, "rate limiting never changes results");
+        for shards in [2, 4, 8] {
+            let mut par = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
+            let (_, got) = par.scan_parallel(targets.iter().copied(), &[Protocol::Icmp], shards, None).remove(0);
+            assert!(got.limited_seconds > 0.0);
+            // Each shard gets the budget share of its load, waiting
+            // concurrently: the modeled wall time stays within a small
+            // factor of the sequential scan's (the budget is split, not
+            // multiplied).
+            assert!(
+                got.limited_seconds <= want.limited_seconds * 1.5 + 1.0,
+                "sharding must not inflate the modeled scan time at {shards} shards: {} vs {}",
+                got.limited_seconds,
+                want.limited_seconds,
+            );
+            assert_eq!(got.hits, want.hits, "rate limiting never changes results");
+        }
     }
 
     #[test]
@@ -1260,14 +1151,15 @@ mod tests {
             ..ScannerConfig::default()
         };
         let mut s = Scanner::new(cfg, SimTransport::new(world));
-        s.scan_parallel(targets, Protocol::Icmp, 4);
+        s.scan_parallel(targets, &[Protocol::Icmp, Protocol::Tcp80], 4, None);
         let recorded = sos_obs::par::snapshot();
         let stats = recorded
             .iter()
-            .rfind(|s| s.label == "scan_parallel" && s.threads == 4)
+            .rfind(|s| s.label == "scan_parallel" && s.threads == 8)
             .expect("scan_parallel invocation recorded");
-        assert_eq!(stats.workers.len(), 4);
+        assert_eq!(stats.workers.len(), 8);
         let items: u64 = stats.workers.iter().map(|w| w.items).sum();
-        assert_eq!(items, 32, "every prepared target belongs to one shard");
+        assert_eq!(items, 8, "one item per (protocol, shard) task");
+        assert_eq!(stats.cells.len(), 8);
     }
 }

@@ -136,7 +136,7 @@ impl Mirrored {
 ///
 /// The labeled series are flushed once per scan/shard (never per packet),
 /// so the hot loop stays two relaxed adds. They cover the scan paths
-/// (`scan`, `scan_parallel*`, campaign rounds); bare `probe_target` calls
+/// (`scan`, `scan_parallel`, campaign rounds); bare `probe_target` calls
 /// (dealiasing probes) count only in the flat totals.
 #[derive(Debug)]
 pub struct EngineMetrics {

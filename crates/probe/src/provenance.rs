@@ -148,6 +148,12 @@ impl ProvenanceLog {
         })
     }
 
+    /// Re-key this emission-order log by prepared index: `origin[i]` is
+    /// the emission index of the `i`-th prepared (deduplicated) target.
+    pub(crate) fn by_prepared(&self, origin: &[u32]) -> Vec<Provenance> {
+        origin.iter().map(|&i| self.get_or_fill(i as usize)).collect()
+    }
+
     /// A per-/32 coverage log over an explicit target list (campaign
     /// mode, where candidates have no generator): region = top 32 bits.
     pub fn for_targets(targets: &[Ipv6Addr]) -> ProvenanceLog {

@@ -22,9 +22,9 @@
 //!
 //! Under this contract a sequence of interleaved `advance` and `acquire`
 //! calls can never mint more than `burst` tokens of headroom, no matter
-//! how the calls are sliced — the invariant the per-shard budget split in
+//! how the calls are sliced — the invariant the per-task budget split in
 //! [`crate::engine::Scanner::scan_parallel`] relies on when it carves one
-//! global pps budget into `rate / shards` buckets.
+//! global pps budget into load-sized buckets ([`TokenBucket::share`]).
 
 /// A token bucket: `rate` tokens/second, capacity `burst`.
 #[derive(Debug, Clone)]
@@ -68,18 +68,18 @@ impl TokenBucket {
         TokenBucket::new(10_000.0, 10_000.0)
     }
 
-    /// Split this bucket's budget evenly across `shards` workers. Each
-    /// shard bucket gets `rate / shards` and `burst / shards` (floored at
-    /// one token of burst), so the shards' aggregate throughput equals the
-    /// original budget.
-    ///
-    /// `shards` is normalized to at least 1 here (and everywhere else in
-    /// the engine, via `shards.max(1)`): a zero-shard scan is meaningless,
-    /// and a zero divisor would mint an infinite budget. The `seedscan`
-    /// CLI additionally rejects an explicit `--scan-shards 0` up front.
-    pub fn split(rate: f64, burst: f64, shards: usize) -> Self {
-        let n = shards.max(1) as f64;
-        TokenBucket::new(rate / n, burst / n)
+    /// One task's slice of a `rate`/`burst` budget shared by tasks that
+    /// carry `total` targets between them: a task with `load` of them gets
+    /// `load / total` of both rate and burst. The tasks' aggregate still
+    /// equals the global budget, and every task drains its own load in the
+    /// same modeled time, so a sharded scan's slowest shard (which models
+    /// its wall time) waits as long as one sequential scan of the whole
+    /// list would. An empty task gets no bucket (`new` rejects a zero rate).
+    pub fn share(rate: f64, burst: f64, load: usize, total: usize) -> Option<Self> {
+        (load > 0).then(|| {
+            let f = load as f64 / total as f64;
+            TokenBucket::new(rate * f, burst * f)
+        })
     }
 
     /// Snapshot the full limiter state for a campaign checkpoint. `f64`
@@ -279,26 +279,24 @@ mod tests {
 
     #[test]
     fn split_budget_aggregates_to_the_global_rate() {
-        // 8 shards of a 10k budget: each gets 1250 pps; together they
-        // admit exactly the global rate in sustained operation.
-        let mut shards: Vec<TokenBucket> = (0..8).map(|_| TokenBucket::split(10_000.0, 10_000.0, 8)).collect();
-        let mut waited = 0.0;
-        for tb in &mut shards {
-            for _ in 0..2500 {
-                waited += tb.acquire();
-            }
+        // A 10k budget over skewed loads (1k, 3k, 6k of 10k targets): each
+        // task gets its load's fraction of rate and burst, the shares sum
+        // to the global rate, and 2×load packets (the burst covers `load`,
+        // the rest drains at `load` pps) take 1 s whatever the load.
+        let mut rates = 0.0;
+        for load in [1_000usize, 3_000, 6_000] {
+            let mut tb = TokenBucket::share(10_000.0, 10_000.0, load, 10_000).expect("non-empty task");
+            rates += tb.rate;
+            let waited: f64 = (0..2 * load).map(|_| tb.acquire()).sum();
+            assert!((waited - 1.0).abs() < 0.01, "load {load} waited {waited}");
         }
-        // Each shard: 1250 burst free, then 1250 more at 1250 pps = 1s.
-        // Max over shards models wall time; all shards are symmetric here.
-        let per_shard = waited / 8.0;
-        assert!((per_shard - 1.0).abs() < 0.01, "per-shard wait {per_shard}");
-        // The same 20k packets through one global bucket: also 1s.
+        assert!((rates - 10_000.0).abs() < 1e-6, "shares sum to the global rate: {rates}");
+        // The same 20k packets through one global bucket: also 1 s.
         let mut global = TokenBucket::paper_policy();
-        let mut gw = 0.0;
-        for _ in 0..20_000 {
-            gw += global.acquire();
-        }
-        assert!((gw - per_shard).abs() < 0.01, "shard split changes the budget");
+        let gw: f64 = (0..20_000).map(|_| global.acquire()).sum();
+        assert!((gw - 1.0).abs() < 0.01, "global bucket waited {gw}");
+        // An empty task gets no limiter rather than a zero-rate panic.
+        assert!(TokenBucket::share(10_000.0, 10_000.0, 0, 10_000).is_none());
     }
 
     #[test]

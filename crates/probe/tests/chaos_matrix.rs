@@ -9,9 +9,10 @@
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
-use netmodel::{FaultConfig, Protocol, World, WorldConfig};
+use netmodel::{FaultConfig, Protocol, World, WorldConfig, PROTOCOLS};
 use sos_probe::{
-    BreakerConfig, Campaign, RetryPolicy, Scanner, ScannerConfig, SimTransport,
+    BreakerConfig, Campaign, CampaignResult, RetryPolicy, RunOptions, Scanner, ScannerConfig,
+    SimTransport,
 };
 
 fn faulty_world(faults: FaultConfig, seed: u64) -> Arc<World> {
@@ -55,6 +56,17 @@ fn targets(world: &World) -> Vec<Ipv6Addr> {
     out
 }
 
+/// The sequential reference: one `Scanner::scan` per protocol, in order.
+fn scan_each(s: &mut Scanner<SimTransport>, t: &[Ipv6Addr]) -> CampaignResult {
+    CampaignResult::from_reports(PROTOCOLS.iter().map(|&p| (p, s.scan(t.iter().copied(), p))).collect())
+}
+
+/// The campaign entry point with no checkpointing: one round, sharded.
+fn campaign(s: &mut Scanner<SimTransport>, t: &[Ipv6Addr], shards: usize) -> CampaignResult {
+    let opts = RunOptions { shards, ..RunOptions::default() };
+    Campaign::standard(s).run_with(t, &opts, None).expect("campaign runs").result
+}
+
 fn assert_identical(
     name: &str,
     shards: usize,
@@ -82,7 +94,7 @@ fn every_fault_schedule_is_shard_invariant() {
         let w = faulty_world(faults, 0xC4A05);
         let t = targets(&w);
         let mut s = scanner(w.clone(), None);
-        let seq = Campaign::standard(&mut s).run(&t);
+        let seq = scan_each(&mut s, &t);
         if name != "off" {
             // Throttle epochs perturb via latency, every other schedule
             // via dropped probes — either way the schedule must bite.
@@ -92,7 +104,7 @@ fn every_fault_schedule_is_shard_invariant() {
         }
         for shards in [2, 8] {
             let mut s = scanner(w.clone(), None);
-            let par = Campaign::standard(&mut s).run_parallel(&t, shards);
+            let par = campaign(&mut s, &t, shards);
             assert_identical(name, shards, &seq, &par);
         }
     }
@@ -104,10 +116,10 @@ fn breaker_equipped_scans_are_shard_invariant_under_every_schedule() {
         let w = faulty_world(faults, 0xC4A06);
         let t = targets(&w);
         let mut s = scanner(w.clone(), Some(BreakerConfig::default()));
-        let seq = Campaign::standard(&mut s).run(&t);
+        let seq = scan_each(&mut s, &t);
         for shards in [2, 8] {
             let mut s = scanner(w.clone(), Some(BreakerConfig::default()));
-            let par = Campaign::standard(&mut s).run_parallel(&t, shards);
+            let par = campaign(&mut s, &t, shards);
             assert_identical(name, shards, &seq, &par);
         }
     }

@@ -212,20 +212,3 @@ fn cancelled_before_first_round_resumes_from_zero() {
     assert_eq!(resumed.result.reports, uninterrupted.result.reports);
     let _ = std::fs::remove_file(&path);
 }
-
-/// `run_with` with no checkpointing (one big round) is the same scan the
-/// plain parallel campaign performs — rounds are an accounting structure,
-/// not a semantic one.
-#[test]
-fn single_round_run_with_matches_run_parallel() {
-    let w = hostile_world(0x0E0);
-    let t = targets(&w);
-    let mut s = scanner(w.clone(), None);
-    let via_rounds = Campaign::standard(&mut s)
-        .run_with(&t, &RunOptions { shards: 4, ..RunOptions::default() }, None)
-        .unwrap();
-    let mut s2 = scanner(w, None);
-    let direct = Campaign::standard(&mut s2).run_parallel(&t, 4);
-    assert_eq!(via_rounds.result.reports, direct.reports);
-    assert_eq!(via_rounds.rounds, 1);
-}

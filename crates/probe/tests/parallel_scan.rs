@@ -1,14 +1,17 @@
 //! Integration invariants for the sharded parallel scan pipeline: the
 //! campaign's merged per-address view must equal the union of the
 //! per-protocol reports, and the parallel path must be observationally
-//! identical to the sequential one for the same world seed.
+//! identical to a per-protocol loop of the sequential wire path for the
+//! same world seed.
 
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
 use netmodel::{PortSet, World, WorldConfig, PROTOCOLS};
-use sos_probe::{Campaign, CampaignResult, RetryPolicy, Scanner, ScannerConfig, SimTransport};
+use sos_probe::{
+    Campaign, CampaignResult, RetryPolicy, RunOptions, Scanner, ScannerConfig, SimTransport,
+};
 
 fn scanner(world: Arc<World>) -> Scanner<SimTransport> {
     Scanner::new(
@@ -42,6 +45,21 @@ fn targets(world: &World) -> Vec<Ipv6Addr> {
     out
 }
 
+/// The sequential reference: one `Scanner::scan` per protocol, in order.
+fn scan_each(s: &mut Scanner<SimTransport>, t: &[Ipv6Addr]) -> CampaignResult {
+    CampaignResult::from_reports(PROTOCOLS.iter().map(|&p| (p, s.scan(t.iter().copied(), p))).collect())
+}
+
+/// The campaign entry point with no checkpointing: one round, sharded.
+fn campaign(s: &mut Scanner<SimTransport>, t: &[Ipv6Addr], shards: usize) -> CampaignResult {
+    let run = Campaign::standard(s)
+        .run_with(t, &RunOptions { shards, ..RunOptions::default() }, None)
+        .expect("campaign runs");
+    assert!(run.completed);
+    assert_eq!(run.rounds, 1, "checkpoint_every 0 scans everything in one round");
+    run.result
+}
+
 /// The merged per-address `PortSet` view must be exactly the union of the
 /// per-protocol `ScanReport.hits` — no address invented, none dropped,
 /// no protocol bit set without a corresponding hit.
@@ -72,12 +90,8 @@ fn campaign_merge_is_the_union_of_per_protocol_hits() {
     let world = Arc::new(World::build(WorldConfig::tiny(0xF00D)));
     let t = targets(&world);
 
-    let mut s = scanner(world.clone());
-    let seq = Campaign::standard(&mut s).run(&t);
-    assert_portset_union(&seq);
-
     let mut s = scanner(world);
-    let par = Campaign::standard(&mut s).run_parallel(&t, 4);
+    let par = campaign(&mut s, &t, 4);
     assert_portset_union(&par);
 }
 
@@ -87,12 +101,12 @@ fn parallel_campaign_is_identical_to_sequential_for_the_same_world() {
     let t = targets(&world);
 
     let mut s = scanner(world.clone());
-    let seq = Campaign::standard(&mut s).run(&t);
+    let seq = scan_each(&mut s, &t);
     let seq_packets = s.packets_sent();
 
     for shards in [1, 3, 8] {
         let mut s = scanner(world.clone());
-        let par = Campaign::standard(&mut s).run_parallel(&t, shards);
+        let par = campaign(&mut s, &t, shards);
 
         // Same responsive map, address for address, port for port.
         assert_eq!(
@@ -116,7 +130,7 @@ fn every_hit_is_ground_truth_responsive() {
     let world = Arc::new(World::build(WorldConfig::tiny(0xF00D)));
     let t = targets(&world);
     let mut s = scanner(world.clone());
-    let par = Campaign::standard(&mut s).run_parallel(&t, 4);
+    let par = campaign(&mut s, &t, 4);
     for proto in PROTOCOLS {
         let (_, report) = &par.reports[proto.index()];
         for &hit in &report.hits {

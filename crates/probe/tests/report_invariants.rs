@@ -153,7 +153,7 @@ fn retries_merge_equal_sequential_vs_sharded() {
     let sequential = seq.scan(targets.iter().copied(), Protocol::Icmp);
     let mut par = Scanner::new(cfg, SimTransport::new(w));
     let sharded = par
-        .scan_parallel_multi(targets.iter().copied(), &[Protocol::Icmp], 8)
+        .scan_parallel(targets.iter().copied(), &[Protocol::Icmp], 8, None)
         .remove(0)
         .1;
     assert!(sequential.retries > 0, "silent targets must retry");

@@ -37,12 +37,11 @@ pub use space_tree::{build_regions_par, Region, SplitStrategy};
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
-use serde::{Deserialize, Serialize};
 use sos_probe::provenance::{ProvenanceLog, REGION_FILL};
 use sos_probe::ScanOracle;
 
 /// Identifies one of the eight studied TGAs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TgaId {
     /// 6Sense (Williams et al., USENIX Security 2024).
     SixSense,

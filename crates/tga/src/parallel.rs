@@ -24,19 +24,16 @@
 //! Exhaustion/widening decisions key off *empty phase-1 proposals* (also
 //! worker-invariant) rather than empty commits.
 //!
-//! Scheduling statistics for every fan-out are recorded as
-//! [`sos_obs::par::ParStats`] under the `gen_parallel` label, inside a
-//! `gen_parallel` span, so traces and flame profiles show the new lanes
+//! Every fan-out goes through [`sos_obs::par::map`], which records its
+//! scheduling statistics under the `gen_parallel` label, inside a
+//! `gen_parallel` span, so traces and flame profiles show the lanes
 //! exactly like `scan_parallel` does for the probe path.
 
 use std::net::Ipv6Addr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use v6addr::{addr_set_with_capacity, splitmix64, AddrSet};
-
-use sos_obs::par::{ParCell, ParStats, ParWorker};
 
 use crate::space_tree::Region;
 
@@ -45,10 +42,9 @@ pub const GEN_PARALLEL: &str = "gen_parallel";
 
 /// Derive the RNG stream seed for one sampling unit.
 ///
-/// The recipe is a splitmix64 chain (the same mixer as
-/// `TokenBucket::split` and the worldgen plans) over the generator's run
-/// seed, the region's order-invariant member digest, the round number,
-/// and the slot index. Chaining (rather than a flat XOR) prevents field
+/// The recipe is a splitmix64 chain (the same mixer as the worldgen
+/// plans) over the generator's run seed, the region's order-invariant
+/// member digest, the round number, and the slot index. Chaining (rather than a flat XOR) prevents field
 /// cancellation; folding in the slot matters because ε-greedy selection
 /// can legitimately pick the *same region twice in one round* — with one
 /// stream per (region, round) both slots would propose identical batches
@@ -88,7 +84,7 @@ pub fn sample_regions_par(
         return Vec::new();
     }
     let _span = sos_obs::span(GEN_PARALLEL);
-    par_map_slots(GEN_PARALLEL, units, workers, |_, u| sample_unit(u, seen))
+    sos_obs::par::map(GEN_PARALLEL, units.iter().collect(), workers, |u| sample_unit(u, seen))
 }
 
 /// Sample one unit: the same draw-until-stale loop the sequential TGAs
@@ -132,109 +128,6 @@ pub fn commit_proposals(
     batch
 }
 
-/// Order-preserving parallel map: `out[i] == f(i, &items[i])`, computed by
-/// up to `workers` scoped threads pulling slots off a shared atomic
-/// cursor. Per-cell queue-wait/exec timings are recorded to
-/// [`sos_obs::par`] under `label` (degenerate inputs still report the
-/// requested worker count, matching `sos_core::par_map_stats`).
-// sos-lint: deterministic-root W-invariance: out[i] must not depend on worker count
-pub(crate) fn par_map_slots<T, R, F>(label: &str, items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let start = sos_obs::now_s();
-    let spawn = workers.max(1).min(n.max(1));
-    if spawn <= 1 {
-        // In-line path: same code shape and the same recorded stats, so a
-        // 1-worker run produces a comparable `gen_parallel` trace lane.
-        let mut cells: Vec<ParCell> = Vec::with_capacity(n);
-        let mut out: Vec<R> = Vec::with_capacity(n);
-        let mut busy = 0.0f64;
-        for (i, item) in items.iter().enumerate() {
-            let t0 = sos_obs::now_s();
-            out.push(f(i, item));
-            let t1 = sos_obs::now_s();
-            cells.push(ParCell { index: i, wait_s: t0 - start, exec_s: t1 - t0, worker: 0 });
-            // sos-lint: allow(det-float-reduce) trace-lane timing stat; never part of the result stream
-            busy += t1 - t0;
-        }
-        sos_obs::par::record(ParStats {
-            label: label.to_string(),
-            threads: workers.max(1),
-            start_s: start,
-            wall_s: sos_obs::now_s() - start,
-            cells,
-            workers: vec![ParWorker { busy_s: busy, items: n as u64 }],
-        });
-        return out;
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut parts: Vec<Vec<(usize, R, ParCell)>> = Vec::with_capacity(spawn);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..spawn)
-            .map(|w| {
-                let next = &next;
-                let f = &f;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, R, ParCell)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= n {
-                            break;
-                        }
-                        let t0 = sos_obs::now_s();
-                        let r = f(i, &items[i]); // i < n == items.len() checked above
-                        let t1 = sos_obs::now_s();
-                        local.push((
-                            i,
-                            r,
-                            ParCell { index: i, wait_s: t0 - start, exec_s: t1 - t0, worker: w },
-                        ));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.push(part),
-                // A worker closure panicked (e.g. a debug assert inside a
-                // sampled region): surface it on the caller, do not eat it.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    let wall = sos_obs::now_s() - start;
-    let mut worker_stats = vec![ParWorker { busy_s: 0.0, items: 0 }; spawn];
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut cells: Vec<ParCell> = Vec::with_capacity(n);
-    for part in parts {
-        for (i, r, cell) in part {
-            worker_stats[cell.worker].busy_s += cell.exec_s; // worker < spawn by construction
-            worker_stats[cell.worker].items += 1;
-            slots[i] = Some(r); // i < n: cursor bound checked in the worker
-            cells.push(cell);
-        }
-    }
-    cells.sort_by_key(|c| c.index);
-    sos_obs::par::record(ParStats {
-        label: label.to_string(),
-        threads: workers.max(1),
-        start_s: start,
-        wall_s: wall,
-        cells,
-        workers: worker_stats,
-    });
-    let out: Vec<R> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), n, "every slot filled exactly once");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,16 +138,6 @@ mod tests {
             .map(|i| Ipv6Addr::from(0x2600_0abc_0001_0000_0000_0000_0000_0000u128 | (i % 3) << 64 | (i * 7 + 1)))
             .collect();
         build_regions(&seeds, SplitStrategy::Leftmost, 8, 1 << 10)
-    }
-
-    #[test]
-    fn par_map_slots_preserves_input_order() {
-        let items: Vec<usize> = (0..100).collect();
-        for workers in [1, 2, 4, 8] {
-            let out = par_map_slots("gen_parallel", &items, workers, |i, &x| i * 1000 + x * 3);
-            let want: Vec<usize> = (0..100).map(|i| i * 1000 + i * 3).collect();
-            assert_eq!(out, want, "workers={workers}");
-        }
     }
 
     #[test]

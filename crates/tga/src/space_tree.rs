@@ -300,12 +300,9 @@ pub fn build_regions_par(
         })
         .collect();
     let _span = sos_obs::span(crate::parallel::GEN_PARALLEL);
-    let parts = crate::parallel::par_map_slots(
-        crate::parallel::GEN_PARALLEL,
-        &groups,
-        workers,
-        |_, (g, cap)| build_regions(g, strategy, max_leaf, *cap),
-    );
+    let parts = sos_obs::par::map(crate::parallel::GEN_PARALLEL, groups, workers, |(g, cap)| {
+        build_regions(&g, strategy, max_leaf, cap)
+    });
     parts.into_iter().flatten().collect()
 }
 
