@@ -24,8 +24,7 @@ use std::net::Ipv6Addr;
 use std::time::{Duration, Instant};
 
 use netmodel::Protocol;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use v6addr::rng::SmallRng;
 use sos_obs::json::Json;
 use tga::{GenConfig, TgaId};
 use v6addr::{Prefix, PrefixTrie};

@@ -287,7 +287,7 @@ mod tests {
             .find(|r| r.loss == 0.0 && r.ports.contains(Protocol::Icmp))
             .unwrap()
             .clone();
-        use rand::{rngs::SmallRng, Rng as _, SeedableRng};
+        use v6addr::rng::SmallRng;
         let mut rng = SmallRng::seed_from_u64(9);
         let mut addrs = Vec::new();
         for _ in 0..50 {

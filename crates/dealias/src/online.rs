@@ -14,8 +14,7 @@
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use v6addr::rng::SmallRng;
 
 use netmodel::mix::mix3;
 use netmodel::Protocol;

@@ -67,9 +67,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "det-fault-entropy",
         group: "determinism",
-        rationale: "fault-injection and retry code must draw all randomness from the seeded splitmix64 chain (netmodel::mix); thread_rng/from_entropy/OsRng/rand::random would make chaos schedules and backoff jitter unreproducible",
+        rationale: "fault-injection and retry code must draw all randomness from the run seed (the netmodel::mix splitmix64 chain or v6addr::rng::SmallRng); thread_rng/from_entropy/OsRng/getrandom/rand::random would make chaos schedules and backoff jitter unreproducible",
         severity: "error",
-        fix: "derive randomness from the run seed via netmodel::mix / SmallRng::seed_from_u64",
+        fix: "derive randomness from the run seed via netmodel::mix or v6addr::rng::SmallRng::seed_from_u64",
     },
     RuleInfo {
         id: "det-unordered-iter",

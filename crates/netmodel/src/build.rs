@@ -9,8 +9,7 @@
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use v6addr::rng::SmallRng;
 use v6addr::{Prefix, PrefixTrie};
 
 use crate::alias::AliasRegion;
@@ -705,7 +704,7 @@ mod tests {
             .iter()
             .find(|r| r.loss == 0.0 && r.ports.contains(Protocol::Icmp))
             .expect("some lossless ICMP alias region");
-        use rand::{rngs::SmallRng, SeedableRng};
+        use v6addr::rng::SmallRng;
         let mut rng = SmallRng::seed_from_u64(0);
         for _ in 0..20 {
             let addr = v6addr::rand_in_prefix(&region.prefix, &mut rng);

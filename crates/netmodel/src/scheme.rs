@@ -6,7 +6,7 @@
 //! distribution of schemes is what makes some regions easy for generators
 //! (low-byte servers) and others nearly impossible (privacy addresses).
 
-use rand::Rng;
+use v6addr::rng::SmallRng;
 
 /// How interface identifiers are assigned within a /64 subnet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +42,7 @@ impl AddressingScheme {
     /// For structured schemes the IID is a deterministic function of `idx`
     /// (that is what makes them discoverable); for identifier-like schemes
     /// the RNG supplies the unpredictable bits.
-    pub fn iid<R: Rng + ?Sized>(self, idx: u64, rng: &mut R) -> u64 {
+    pub fn iid(self, idx: u64, rng: &mut SmallRng) -> u64 {
         match self {
             AddressingScheme::LowByte => idx + 1,
             AddressingScheme::StructuredWords => {
@@ -86,8 +86,6 @@ impl AddressingScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn low_byte_is_sequential_from_one() {

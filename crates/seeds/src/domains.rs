@@ -17,8 +17,7 @@
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use v6addr::rng::SmallRng;
 
 use netmodel::{AsKind, Country, World};
 

@@ -11,8 +11,7 @@
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use v6addr::rng::SmallRng;
 
 use netmodel::World;
 use v6addr::rand_in_prefix;

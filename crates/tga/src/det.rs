@@ -15,8 +15,7 @@
 
 use std::net::Ipv6Addr;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use v6addr::rng::SmallRng;
 
 use sos_probe::provenance::{seed_digest, ProvenanceLog};
 use sos_probe::ScanOracle;

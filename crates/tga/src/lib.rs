@@ -39,6 +39,7 @@ use std::net::Ipv6Addr;
 use netmodel::Protocol;
 use sos_probe::provenance::{ProvenanceLog, REGION_FILL};
 use sos_probe::ScanOracle;
+use v6addr::rng::SmallRng;
 
 /// Identifies one of the eight studied TGAs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -324,7 +325,7 @@ pub(crate) fn fill_budget_by_mutation(
     seen: &mut v6addr::AddrSet,
     seeds: &[Ipv6Addr],
     budget: usize,
-    rng: &mut impl rand::Rng,
+    rng: &mut SmallRng,
     prov: &mut ProvenanceLog,
 ) {
     use v6addr::with_nybble;
@@ -457,8 +458,7 @@ mod tests {
 
     #[test]
     fn mutation_filler_reaches_budget_and_dedups() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut rng = SmallRng::seed_from_u64(1);
         let seeds: Vec<Ipv6Addr> = vec!["2001:db8::1".parse().unwrap()];
         let mut out = Vec::new();
         let mut seen = v6addr::AddrSet::default();
@@ -475,8 +475,7 @@ mod tests {
 
     #[test]
     fn mutation_filler_handles_empty_seeds() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut rng = SmallRng::seed_from_u64(1);
         let mut out = Vec::new();
         let mut seen = v6addr::AddrSet::default();
         fill_budget_by_mutation(&mut out, &mut seen, &[], 100, &mut rng, &mut ProvenanceLog::disabled());

@@ -31,8 +31,7 @@
 
 use std::net::Ipv6Addr;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use v6addr::rng::SmallRng;
 use v6addr::{addr_set_with_capacity, splitmix64, AddrSet};
 
 use crate::space_tree::Region;

@@ -3,7 +3,7 @@
 
 use std::net::Ipv6Addr;
 
-use rand::Rng;
+use v6addr::rng::SmallRng;
 use v6addr::{nybble_of, Nybbles, NYBBLES};
 
 /// Histogram of nybble values observed at one position.
@@ -51,7 +51,7 @@ impl ValueHist {
     /// `explore` draw uniformly from all 16 values instead. Falls back to
     /// uniform when nothing was observed.
     #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, explore: f64) -> u8 {
+    pub fn sample(&self, rng: &mut SmallRng, explore: f64) -> u8 {
         if self.total == 0 || (explore > 0.0 && rng.gen_bool(explore)) {
             return rng.gen_range(0..16);
         }
@@ -193,8 +193,6 @@ pub fn free_histograms(pattern: &Pattern, addrs: &[Ipv6Addr]) -> Vec<(usize, Val
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn a(s: &str) -> Ipv6Addr {
         s.parse().unwrap()

@@ -21,8 +21,7 @@
 use std::iter::Take;
 use std::net::Ipv6Addr;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use v6addr::rng::SmallRng;
 
 use dealias::{OnlineConfig, OnlineDealiaser};
 use sos_probe::provenance::{seed_digest, ProvenanceLog};

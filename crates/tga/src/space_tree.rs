@@ -9,7 +9,7 @@
 
 use std::net::Ipv6Addr;
 
-use rand::Rng;
+use v6addr::rng::SmallRng;
 use v6addr::{nybble_of, NYBBLES};
 
 use crate::pattern::{free_histograms, pack_free, Pattern, ValueHist};
@@ -84,7 +84,7 @@ impl Region {
     /// ascending position order, each ORed straight into the cached base
     /// (this runs once per draw on the generation hot path).
     #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, explore: f64) -> Ipv6Addr {
+    pub fn sample(&self, rng: &mut SmallRng, explore: f64) -> Ipv6Addr {
         pack_free(self.base, self.hists.iter().map(|(pos, h)| (*pos, h.sample(rng, explore))))
     }
 
@@ -330,8 +330,6 @@ fn pick_split(group: &[Ipv6Addr], strategy: SplitStrategy) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn a(s: &str) -> Ipv6Addr {
         s.parse().unwrap()

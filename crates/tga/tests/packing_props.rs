@@ -7,9 +7,8 @@
 
 use std::net::Ipv6Addr;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use tga::{Pattern, Region};
+use v6addr::rng::SmallRng;
 use v6addr::{Nybbles, SplitMix64, NYBBLES};
 
 const CASES: usize = 200;

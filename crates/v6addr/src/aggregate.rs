@@ -133,8 +133,7 @@ mod tests {
 
     #[test]
     fn aggregation_preserves_coverage() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+        use crate::rng::SmallRng;
         let mut rng = SmallRng::seed_from_u64(9);
         // random prefixes clustered so merges actually occur
         let prefixes: Vec<Prefix> = (0..60)

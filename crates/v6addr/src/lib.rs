@@ -23,6 +23,7 @@ pub mod aggregate;
 pub mod nybble;
 pub mod pattern;
 pub mod prefix;
+pub mod rng;
 pub mod set;
 pub mod splitmix;
 pub mod trie;
@@ -36,6 +37,8 @@ pub use splitmix::{addr_set_with_capacity, splitmix64, AddrMap, AddrSet, SplitMi
 pub use trie::PrefixTrie;
 
 use std::net::Ipv6Addr;
+
+use rng::SmallRng;
 
 /// Convert an address to its 128-bit integer form.
 #[inline]
@@ -55,7 +58,7 @@ pub fn from_u128(bits: u128) -> Ipv6Addr {
 /// uniformly. This is the primitive behind 6Gen-style online dealiasing
 /// ("send randomized lower bits into the /96") and the ground-truth
 /// population builder.
-pub fn rand_in_prefix<R: rand::Rng + ?Sized>(prefix: &Prefix, rng: &mut R) -> Ipv6Addr {
+pub fn rand_in_prefix(prefix: &Prefix, rng: &mut SmallRng) -> Ipv6Addr {
     let free_bits = 128 - prefix.len() as u32;
     if free_bits == 0 {
         return prefix.network();
@@ -72,8 +75,6 @@ pub fn rand_in_prefix<R: rand::Rng + ?Sized>(prefix: &Prefix, rng: &mut R) -> Ip
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn u128_roundtrip() {

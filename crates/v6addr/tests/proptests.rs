@@ -130,11 +130,10 @@ fn parse_display_roundtrip() {
 
 #[test]
 fn rand_in_prefix_always_contained() {
-    use rand::SeedableRng;
     let mut g = Gen::new(9);
     for _ in 0..CASES {
         let p = g.prefix();
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(g.u64());
+        let mut rng = v6addr::rng::SmallRng::seed_from_u64(g.u64());
         let addr = rand_in_prefix(&p, &mut rng);
         assert!(p.contains(addr));
     }
